@@ -128,3 +128,86 @@ func TestMachineResetShapeChange(t *testing.T) {
 	}
 	assertSameRun(t, "4-to-2-cores", fresh, pooled)
 }
+
+// latencyGrid is the machine-parameter sweep one warm machine is reset
+// across: region-sync, mode-switch and queue latencies and capacities,
+// including zero overheads, an unbounded queue (QueueCap -1) and returns
+// to the defaults between them, so a setting that leaked through Reset
+// would show up in the run after it.
+func latencyGrid(cores int) []core.Config {
+	set := func(rs, ms, qb, qh int64, qc int) core.Config {
+		cfg := core.DefaultConfig(cores)
+		cfg.RegionSyncLat, cfg.ModeSwitchLat = rs, ms
+		cfg.QueueBaseLat, cfg.QueueHopLat, cfg.QueueCap = qb, qh, qc
+		return cfg
+	}
+	return []core.Config{
+		set(8, 6, 5, 4, 32),
+		core.DefaultConfig(cores),
+		set(2, 1, 1, 1, 4),
+		set(0, 0, 0, 0, 0),
+		set(3, 4, 2, 3, -1),
+		core.DefaultConfig(cores),
+		set(6, 3, 3, 2, 1),
+	}
+}
+
+// TestMachineResetAcrossLatencies is the differential behind keying the
+// machine pool by shape alone: one warm machine per width is Reset from
+// latency setting to latency setting — the serving path's latency
+// ablation sweep — and every run must equal a fresh machine's under the
+// same config. It covers the 25 workloads at 4 cores and 50 random
+// programs × 5 strategies × widths 2, 4 and 16.
+func TestMachineResetAcrossLatencies(t *testing.T) {
+	warm := map[int]*core.Machine{}
+	step := 0
+	check := func(name string, cp *core.CompiledProgram, cores int) {
+		t.Helper()
+		grid := latencyGrid(cores)
+		m := warm[cores]
+		if m == nil {
+			m = core.New(grid[0])
+			warm[cores] = m
+		}
+		// Two consecutive grid points per program: the first follows the
+		// previous program's setting, the second this program's own.
+		for k := 0; k < 2; k++ {
+			cfg := grid[step%len(grid)]
+			step++
+			fresh, err := core.New(cfg).Run(cp)
+			if err != nil {
+				t.Fatalf("%s fresh: %v", name, err)
+			}
+			m.Reset(cfg)
+			pooled, err := m.Run(cp)
+			if err != nil {
+				t.Fatalf("%s pooled: %v", name, err)
+			}
+			assertSameRun(t, fmt.Sprintf("%s/rs%d-ms%d-qb%d-qh%d-qc%d", name,
+				cfg.RegionSyncLat, cfg.ModeSwitchLat, cfg.QueueBaseLat, cfg.QueueHopLat, cfg.QueueCap),
+				fresh, pooled)
+		}
+	}
+	for _, name := range workload.Names() {
+		p, err := workload.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, compileFor(t, p, compiler.Hybrid, 4), 4)
+	}
+	strategies := []compiler.Strategy{
+		compiler.Serial, compiler.ForceILP, compiler.ForceFTLP, compiler.ForceLLP, compiler.Hybrid,
+	}
+	for seed := 0; seed < 50; seed++ {
+		p, err := workload.Random(int64(1000+seed), 1+seed%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range strategies {
+			for _, cores := range []int{2, 4, 16} {
+				check(fmt.Sprintf("seed%d/%v/%dcores", 1000+seed, strat, cores),
+					compileFor(t, p, strat, cores), cores)
+			}
+		}
+	}
+}

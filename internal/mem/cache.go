@@ -63,6 +63,14 @@ type cache struct {
 	pow2      bool
 	lineShift uint
 	setShift  uint
+	// lastLine/lastIdx memoize the line address and flat index of the
+	// last line Fetch resolved (lastIdx -1: none). Only an L1I uses it,
+	// and only its own core's Fetch changes an L1I: every fill there
+	// re-points the memo at the filled line and reset clears it, so the
+	// memoized line is still resident and a memo match is exactly a find
+	// hit.
+	lastLine int64
+	lastIdx  int
 }
 
 func newCache(cfg CacheCfg) *cache {
@@ -70,7 +78,7 @@ func newCache(cfg CacheCfg) *cache {
 	if numSets < 1 {
 		numSets = 1
 	}
-	c := &cache{cfg: cfg, lines: make([]line, numSets*int64(cfg.Assoc)), numSets: numSets}
+	c := &cache{cfg: cfg, lines: make([]line, numSets*int64(cfg.Assoc)), numSets: numSets, lastIdx: -1}
 	if cfg.LineBytes&(cfg.LineBytes-1) == 0 && numSets&(numSets-1) == 0 {
 		c.pow2 = true
 		for v := cfg.LineBytes; v > 1; v >>= 1 {
@@ -90,6 +98,14 @@ func (c *cache) index(addr int64) (set int64, tag int64) {
 	}
 	lineAddr := addr / c.cfg.LineBytes
 	return lineAddr % c.numSets, lineAddr / c.numSets
+}
+
+// lineOf is addr's line address (addr divided by the line size).
+func (c *cache) lineOf(addr int64) int64 {
+	if c.pow2 {
+		return addr >> c.lineShift
+	}
+	return addr / c.cfg.LineBytes
 }
 
 // find returns the flat index of the line holding addr, or -1.
@@ -122,8 +138,9 @@ func (c *cache) stateOf(addr int64) lineState {
 
 // fill inserts addr with the given state, evicting LRU; it returns the
 // victim's state and line base address (victim.state == invalid when no
-// writeback-relevant eviction happened).
-func (c *cache) fill(addr int64, s lineState) (victimState lineState, victimAddr int64) {
+// writeback-relevant eviction happened) and the flat index now holding
+// addr.
+func (c *cache) fill(addr int64, s lineState) (victimState lineState, victimAddr int64, idx int) {
 	set, tag := c.index(addr)
 	base := int(set) * c.cfg.Assoc
 	// Prefer an invalid way.
@@ -145,7 +162,7 @@ place:
 	victimAddr = (v.tag*c.numSets + set) * c.cfg.LineBytes
 	c.tick++
 	c.lines[victim] = line{tag: tag, state: s, lru: c.tick}
-	return victimState, victimAddr
+	return victimState, victimAddr, victim
 }
 
 // reset restores a freshly constructed cache's state — every line invalid
@@ -156,6 +173,7 @@ place:
 func (c *cache) reset() {
 	clear(c.lines)
 	c.tick = 0
+	c.lastIdx = -1
 }
 
 // flushAll invalidates every line, returning how many were dirty (M or O).

@@ -155,7 +155,7 @@ func (s *System) l2Access(addr, start int64) int64 {
 		done = start + s.Cfg.L2Lat
 	} else {
 		s.St.L2Misses++
-		vs, _ := s.l2.fill(addr, modified) // L2 lines: valid/dirty folded into M
+		vs, _, _ := s.l2.fill(addr, modified) // L2 lines: valid/dirty folded into M
 		if vs == modified || vs == owned {
 			s.St.Writebacks++
 		}
@@ -302,7 +302,7 @@ func (s *System) invalidateOthers(core int, addr int64) {
 }
 
 func (s *System) fillL1D(core int, addr int64, st lineState) {
-	vs, _ := s.l1d[core].fill(addr, st)
+	vs, _, _ := s.l1d[core].fill(addr, st)
 	if vs == modified || vs == owned {
 		s.St.Writebacks++
 		// Writeback occupies the bus briefly; folded into BusLat of the
@@ -311,17 +311,28 @@ func (s *System) fillL1D(core int, addr int64, st lineState) {
 }
 
 // Fetch models an instruction fetch by core at time now and returns the
-// cycle the instruction is available.
+// cycle the instruction is available. Straight-line code fetches the same
+// line many times in a row, so the core's last resolved line is memoized:
+// a fetch into it skips the set scan but is otherwise an ordinary hit (LRU
+// touch, hit count, hit latency).
 func (s *System) Fetch(core int, addr, now int64) (doneAt int64) {
 	c := s.l1i[core]
+	la := c.lineOf(addr)
+	if c.lastIdx >= 0 && c.lastLine == la {
+		c.touchIdx(c.lastIdx)
+		s.St.L1IHits[core]++
+		return now + c.cfg.HitLat
+	}
 	if i := c.find(addr); i >= 0 {
+		c.lastLine, c.lastIdx = la, i
 		c.touchIdx(i)
 		s.St.L1IHits[core]++
 		return now + c.cfg.HitLat
 	}
 	s.St.L1IMisses[core]++
 	t := s.l2Access(addr, now)
-	c.fill(addr, shared)
+	_, _, i := c.fill(addr, shared)
+	c.lastLine, c.lastIdx = la, i
 	if s.Tracer != nil {
 		s.Tracer.CacheMiss(now, core, trace.MissL1I, addr, t+c.cfg.HitLat-now)
 	}

@@ -16,11 +16,101 @@ package mem
 type txState struct {
 	active   bool
 	order    int // chunk order for conflict arbitration
-	readSet  map[int64]bool
-	writeSet map[int64]bool
+	readSet  addrSet
+	writeSet addrSet
 	undoAddr []int64
 	undoVal  []uint64
 	aborted  bool
+}
+
+// addrSet is a transaction's read or write set: an open-addressing hash
+// set of addresses, linear probing over a power-of-two slot table. A slot
+// is live only when stamped with the set's current generation, so clear is
+// one increment rather than a sweep, and the table is kept across
+// transactions (chunked DOALL loops begin one per chunk) and pooled runs.
+type addrSet struct {
+	slots []addrSlot
+	gen   uint32
+	n     int  // live entries
+	shift uint // 64 - log2(len(slots))
+}
+
+type addrSlot struct {
+	addr int64
+	gen  uint32
+}
+
+// slot is addr's home slot (Fibonacci hashing: word addresses differ in
+// their low bits, which the multiply spreads into the top ones).
+func (s *addrSet) slot(addr int64) int {
+	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> s.shift)
+}
+
+// has reports whether addr is in the set.
+func (s *addrSet) has(addr int64) bool {
+	if s.n == 0 {
+		return false
+	}
+	mask := len(s.slots) - 1
+	for i := s.slot(addr); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			return false
+		}
+		if sl.addr == addr {
+			return true
+		}
+	}
+}
+
+// add inserts addr, reporting whether it was absent.
+func (s *addrSet) add(addr int64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := len(s.slots) - 1
+	for i := s.slot(addr); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			*sl = addrSlot{addr: addr, gen: s.gen}
+			s.n++
+			return true
+		}
+		if sl.addr == addr {
+			return false
+		}
+	}
+}
+
+// grow doubles the slot table (16 slots at first) and re-inserts the live
+// entries, keeping the load factor at most one half.
+func (s *addrSet) grow() {
+	old, gen := s.slots, s.gen
+	size := 16
+	if len(old) > 0 {
+		size = 2 * len(old)
+	}
+	s.slots = make([]addrSlot, size)
+	s.shift = 64
+	for v := size; v > 1; v >>= 1 {
+		s.shift--
+	}
+	s.gen, s.n = 1, 0
+	for _, sl := range old {
+		if sl.gen == gen {
+			s.add(sl.addr)
+		}
+	}
+}
+
+// clear empties the set in O(1), sweeping the table only when the
+// generation counter wraps.
+func (s *addrSet) clear() {
+	s.n = 0
+	if s.gen++; s.gen == 0 {
+		clear(s.slots)
+		s.gen = 1
+	}
 }
 
 // TM is the machine-wide transactional memory.
@@ -35,7 +125,7 @@ func NewTM(n int) *TM {
 }
 
 // Reset restores NewTM's initial state while keeping each core's
-// read/write-set maps and undo-log backing arrays — the same allocations
+// read/write-set tables and undo-log backing arrays — the same allocations
 // Begin recycles within a run are worth keeping across pooled-machine runs.
 func (tm *TM) Reset() {
 	tm.conflicts = 0
@@ -43,27 +133,20 @@ func (tm *TM) Reset() {
 		t := &tm.tx[i]
 		t.active, t.aborted = false, false
 		t.order = 0
-		if t.readSet != nil {
-			clear(t.readSet)
-			clear(t.writeSet)
-		}
+		t.readSet.clear()
+		t.writeSet.clear()
 		t.undoAddr, t.undoVal = t.undoAddr[:0], t.undoVal[:0]
 	}
 }
 
 // Begin starts a transaction on core with the given chunk order. The
-// read/write-set maps and undo log are recycled across transactions on the
+// read/write sets and undo log are recycled across transactions on the
 // same core (chunked DOALL loops begin one transaction per chunk, so fresh
-// allocations here dominate the TM cost).
+// allocations here would dominate the TM cost).
 func (tm *TM) Begin(core, order int) {
 	t := &tm.tx[core]
-	if t.readSet == nil {
-		t.readSet = make(map[int64]bool)
-		t.writeSet = make(map[int64]bool)
-	} else {
-		clear(t.readSet)
-		clear(t.writeSet)
-	}
+	t.readSet.clear()
+	t.writeSet.clear()
 	t.active, t.aborted = true, false
 	t.order = order
 	t.undoAddr, t.undoVal = t.undoAddr[:0], t.undoVal[:0]
@@ -86,13 +169,13 @@ func (tm *TM) OnRead(core int, addr int64) {
 	if !t.active || t.aborted {
 		return
 	}
-	t.readSet[addr] = true
+	t.readSet.add(addr)
 	for i := range tm.tx {
 		o := &tm.tx[i]
 		if i == core || !o.active || o.aborted {
 			continue
 		}
-		if o.writeSet[addr] {
+		if o.writeSet.has(addr) {
 			tm.resolve(core, i)
 		}
 	}
@@ -105,8 +188,7 @@ func (tm *TM) OnWrite(core int, addr int64, old uint64) {
 	if !t.active || t.aborted {
 		return
 	}
-	if !t.writeSet[addr] {
-		t.writeSet[addr] = true
+	if t.writeSet.add(addr) {
 		t.undoAddr = append(t.undoAddr, addr)
 		t.undoVal = append(t.undoVal, old)
 	}
@@ -115,7 +197,7 @@ func (tm *TM) OnWrite(core int, addr int64, old uint64) {
 		if i == core || !o.active || o.aborted {
 			continue
 		}
-		if o.writeSet[addr] || o.readSet[addr] {
+		if o.writeSet.has(addr) || o.readSet.has(addr) {
 			tm.resolve(core, i)
 		}
 	}

@@ -1,8 +1,8 @@
 package server
 
 // The warm-worker layer: a pool of reusable core.Machines keyed by machine
-// configuration, and a batcher that drains queued runs of one compiled
-// artifact through whichever request first wins a worker slot. Together
+// shape, and a batcher that drains queued runs of one compiled artifact
+// through whichever request first wins a worker slot. Together
 // they make the hot serving path "one event loop per job": the compile
 // stage is satisfied by the artifact cache, the machine by a Reset instead
 // of a rebuild, and consecutive homogeneous jobs keep one warm machine's
@@ -11,75 +11,96 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"voltron/internal/core"
 	"voltron/internal/stats"
 )
 
-// machinePool keeps warm core.Machines per machine configuration so a
-// worker slot grabs a reset machine instead of rebuilding the cache tag
-// arrays, network queues and TM sets per job. A machine handed out by get
-// is exclusively owned by the caller until put back — the pool never
+// machinePool keeps warm core.Machines per machine shape (spec.MachineKey)
+// so a worker slot grabs a reset machine instead of rebuilding the cache
+// tag arrays, network queues and TM sets per job. A machine handed out by
+// get is exclusively owned by the caller until put back — the pool never
 // aliases a machine to two owners (asserted by a -race test). Only idle
-// machines are bounded (perKey per configuration, maxIdle overall); in-use
-// machines are already bounded by the worker semaphore.
+// machines are bounded (perKey per shape, maxIdle overall); in-use
+// machines are already bounded by the worker semaphore. When the overall
+// bound is reached, a returned machine evicts the least recently returned
+// idle machine of another shape, so a stream of new shapes keeps pooling
+// instead of freezing the pool on the first shapes it saw.
 type machinePool struct {
 	mu      sync.Mutex
 	perKey  int
 	maxIdle int
-	idle    map[string][]*core.Machine
-	total   int
+	idle    []idleMachine // oldest return first
 
 	hits   stats.Counter // get satisfied by a warm pooled machine
 	resets stats.Counter // Machine.Reset calls performed on reuse
 	news   stats.Counter // get built a fresh machine
 }
 
-// newMachinePool creates a pool bounded to perKey idle machines per
-// configuration. perKey = 0 disables pooling: every get builds fresh and
-// every put drops — the before/after comparison path.
-func newMachinePool(perKey int) *machinePool {
-	return &machinePool{perKey: perKey, maxIdle: 4 * perKey, idle: map[string][]*core.Machine{}}
+// idleMachine is a pooled machine and the key it was returned under.
+type idleMachine struct {
+	key string
+	m   *core.Machine
 }
 
-// get returns a machine configured per cfg, reusing (and resetting) a
-// pooled one under the same key when available.
+// newMachinePool creates a pool bounded to perKey idle machines per
+// shape. perKey = 0 disables pooling: every get builds fresh and every put
+// drops — the before/after comparison path.
+func newMachinePool(perKey int) *machinePool {
+	return &machinePool{perKey: perKey, maxIdle: 4 * perKey}
+}
+
+// get returns a machine configured per cfg, reusing (and resetting) the
+// most recently returned pooled one under the same key when available.
 func (p *machinePool) get(key string, cfg core.Config) *core.Machine {
 	p.mu.Lock()
-	if q := p.idle[key]; len(q) > 0 {
-		m := q[len(q)-1]
-		q[len(q)-1] = nil
-		p.idle[key] = q[:len(q)-1]
-		p.total--
-		p.mu.Unlock()
-		p.hits.Inc()
-		p.resets.Inc()
-		m.Reset(cfg)
-		return m
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].key == key {
+			m := p.idle[i].m
+			p.idle = slices.Delete(p.idle, i, i+1)
+			p.mu.Unlock()
+			p.hits.Inc()
+			p.resets.Inc()
+			m.Reset(cfg)
+			return m
+		}
 	}
 	p.mu.Unlock()
 	p.news.Inc()
 	return core.New(cfg)
 }
 
-// put returns a machine to the pool; machines over the idle bounds are
-// dropped for the GC.
+// put returns a machine to the pool. A key already holding perKey idle
+// machines drops it for the GC; a full pool makes room by evicting the
+// least recently returned idle machine of another key.
 func (p *machinePool) put(key string, m *core.Machine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.idle[key]) >= p.perKey || p.total >= p.maxIdle {
+	same := 0
+	for _, e := range p.idle {
+		if e.key == key {
+			same++
+		}
+	}
+	if same >= p.perKey {
 		return
 	}
-	p.idle[key] = append(p.idle[key], m)
-	p.total++
+	if len(p.idle) >= p.maxIdle {
+		// This key holds fewer than perKey < maxIdle, so another key has
+		// a machine to give.
+		i := slices.IndexFunc(p.idle, func(e idleMachine) bool { return e.key != key })
+		p.idle = slices.Delete(p.idle, i, i+1)
+	}
+	p.idle = append(p.idle, idleMachine{key: key, m: m})
 }
 
 // size reports the number of idle pooled machines.
 func (p *machinePool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.total
+	return len(p.idle)
 }
 
 // runReq is one queued simulation: a compiled artifact plus the machine
@@ -88,7 +109,7 @@ func (p *machinePool) size() int {
 // which warm pool serves the run.
 type runReq struct {
 	batch string // compile-artifact key: the batching group
-	pool  string // machine-configuration key: which warm pool serves it
+	pool  string // machine-shape key: which warm pool serves it
 	cfg   core.Config
 	cp    *core.CompiledProgram
 	ctx   context.Context
@@ -157,7 +178,7 @@ func (b *batcher) run(ctx context.Context, req *runReq) (*core.RunResult, error)
 }
 
 // drain claims and executes queued runs of owner's group until the group is
-// empty, reusing one warm machine per machine configuration via the pool.
+// empty, reusing one warm machine per machine shape via the pool.
 // Runs whose request was canceled while queued are answered without
 // simulating.
 func (b *batcher) drain(owner *runReq) {

@@ -38,32 +38,37 @@ func testCompiled(t testing.TB) (*core.CompiledProgram, core.Config, string) {
 // under -race: a machine handed out by get must never be owned by two
 // workers at once (Machine state is not goroutine-safe, so an aliased
 // machine is both a logic bug and a data race the detector would flag via
-// the concurrent RunContext calls).
+// the concurrent RunContext calls). It runs once with every goroutine on
+// one key and once spread over six keys (same machine config), where the
+// idle bound is reached and returns evict other keys' machines.
 func TestMachinePoolExclusiveOwnership(t *testing.T) {
 	cp, cfg, key := testCompiled(t)
-	pool := newMachinePool(2)
-	var inUse sync.Map
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				m := pool.get(key, cfg)
-				if _, loaded := inUse.LoadOrStore(m, true); loaded {
-					t.Error("pool handed one machine to two concurrent owners")
+	for _, keys := range []int{1, 6} {
+		pool := newMachinePool(2)
+		var inUse sync.Map
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				k := fmt.Sprintf("%s/%d", key, g%keys)
+				for i := 0; i < 20; i++ {
+					m := pool.get(k, cfg)
+					if _, loaded := inUse.LoadOrStore(m, true); loaded {
+						t.Error("pool handed one machine to two concurrent owners")
+					}
+					if _, err := m.RunContext(context.Background(), cp); err != nil {
+						t.Error(err)
+					}
+					inUse.Delete(m)
+					pool.put(k, m)
 				}
-				if _, err := m.RunContext(context.Background(), cp); err != nil {
-					t.Error(err)
-				}
-				inUse.Delete(m)
-				pool.put(key, m)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := pool.size(); got > 2 {
-		t.Errorf("pool holds %d idle machines for one key, bound is 2", got)
+			}()
+		}
+		wg.Wait()
+		if got, bound := pool.size(), min(2*keys, pool.maxIdle); got > bound {
+			t.Errorf("%d keys: pool holds %d idle machines, bound is %d", keys, got, bound)
+		}
 	}
 }
 
@@ -263,5 +268,66 @@ func TestPoolMetricsAccount(t *testing.T) {
 	waitForIdle(t, s)
 	if m = s.Metrics(); m.MachinePoolNews != news {
 		t.Errorf("serial rerun built %d fresh machines, want 0", m.MachinePoolNews-news)
+	}
+}
+
+// TestMachinePoolEvictsStaleShapes: once the pool holds maxIdle idle
+// machines, a machine returned under a new shape evicts the least recently
+// returned machine of another shape instead of being dropped, so cycling
+// through many shapes (every width 1..64, plus non-default meshes) never
+// freezes the pool on the first shapes it saw: the latest shapes stay warm
+// and a new shape still gets pool hits on reuse.
+func TestMachinePoolEvictsStaleShapes(t *testing.T) {
+	type shape struct {
+		key string
+		cfg core.Config
+	}
+	mk := func(cores, mesh int) shape {
+		cfg := core.DefaultConfig(cores)
+		cfg.MeshCols = mesh
+		return shape{fmt.Sprintf("cores=%d mesh=%d", cores, mesh), cfg}
+	}
+	var shapes []shape
+	for c := 1; c <= 64; c++ {
+		shapes = append(shapes, mk(c, 0))
+	}
+	for _, c := range []int{16, 32, 64} {
+		shapes = append(shapes, mk(c, 4), mk(c, 8))
+	}
+	pool := newMachinePool(2)
+	for _, s := range shapes {
+		pool.put(s.key, pool.get(s.key, s.cfg))
+	}
+	if got := pool.size(); got != pool.maxIdle {
+		t.Fatalf("pool holds %d idle machines after %d shapes, want the bound %d", got, len(shapes), pool.maxIdle)
+	}
+	if pool.hits.Value() != 0 {
+		t.Fatalf("distinct shapes recorded %d pool hits", pool.hits.Value())
+	}
+	// The maxIdle most recently returned shapes are the ones still warm.
+	recent := shapes[len(shapes)-pool.maxIdle:]
+	for _, s := range recent {
+		pool.put(s.key, pool.get(s.key, s.cfg))
+	}
+	if got := pool.hits.Value(); got != int64(len(recent)) {
+		t.Errorf("the %d most recent shapes got %d pool hits, want all", len(recent), got)
+	}
+	// A brand-new shape is pooled on return and reused afterwards.
+	fresh := mk(48, 12)
+	hits := pool.hits.Value()
+	for i := 0; i < 3; i++ {
+		pool.put(fresh.key, pool.get(fresh.key, fresh.cfg))
+	}
+	if got := pool.hits.Value() - hits; got != 2 {
+		t.Errorf("new shape after %d shapes got %d pool hits in 3 uses, want 2", len(shapes), got)
+	}
+	if got := pool.size(); got != pool.maxIdle {
+		t.Errorf("pool holds %d idle machines, bound is %d", got, pool.maxIdle)
+	}
+	// The oldest shapes were evicted: reusing one builds fresh.
+	news := pool.news.Value()
+	pool.put(shapes[0].key, pool.get(shapes[0].key, shapes[0].cfg))
+	if pool.news.Value() != news+1 {
+		t.Error("the least recently returned shape was not the one evicted")
 	}
 }

@@ -777,16 +777,13 @@ func (s *Server) simulate(ctx context.Context, req *JobRequest) (*core.RunResult
 		err error
 	)
 	if req.Program.Kind == spec.KindBench {
-		// Benchmarks are pre-built and pre-profiled by the suite; kernel and
-		// source programs materialize here (the compiler profiles them).
+		// Benchmarks are pre-built and pre-profiled by the suite.
 		if p, err = s.suite.Program(req.Program.Bench); err != nil {
 			return nil, nil, cacheMiss, "", err
 		}
 		if pr, err = s.suite.Profile(req.Program.Bench); err != nil {
 			return nil, nil, cacheMiss, "", err
 		}
-	} else if p, err = req.Program.Build(); err != nil {
-		return nil, nil, cacheMiss, "", err
 	}
 
 	ckey := req.CompileKey()
@@ -797,6 +794,15 @@ func (s *Server) simulate(ctx context.Context, req *JobRequest) (*core.RunResult
 			return nil, fmt.Errorf("waiting for a compile slot: %w", ctx.Err())
 		}
 		defer func() { <-s.compileSem }()
+		if p == nil {
+			// Kernel and source programs materialize only on a compile miss
+			// (the compiler profiles them): a hit never needs the IR, and
+			// recheck, which does, runs only on the miss that built it.
+			var err error
+			if p, err = req.Program.Build(); err != nil {
+				return nil, err
+			}
+		}
 		opts := req.CompilerOpts()
 		opts.Profile = pr // nil for inline programs: the compiler profiles them
 		return compiler.Compile(p, opts)

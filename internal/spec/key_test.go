@@ -173,9 +173,11 @@ func TestRingKeyDerivation(t *testing.T) {
 	}
 }
 
-// TestMachineKeyGroupsPools: the machine-pool key folds everything but the
-// machine shape and latency overrides, so warm machines are shared across
-// programs and strategies but never across machine configurations.
+// TestMachineKeyGroupsPools: the machine-pool key is the machine shape —
+// the core count and the mesh columns, exactly what core.Machine.Reset
+// compares before rebuilding. Programs, strategies, compiler options and
+// every run-time latency (re-applied by each run) share one pool; only a
+// different width or mesh splits it.
 func TestMachineKeyGroupsPools(t *testing.T) {
 	base := normalized(t, &JobRequest{Bench: "x"})
 	samePool := []*JobRequest{
@@ -183,26 +185,30 @@ func TestMachineKeyGroupsPools(t *testing.T) {
 		{Bench: "x", Strategy: "ilp"},
 		{Bench: "x", Trace: true},
 		{Bench: "x", Compiler: CompilerOptions{StaticSelection: true}},
-	}
-	for _, r := range samePool {
-		if normalized(t, r).MachineKey() != base.MachineKey() {
-			t.Errorf("machine key fragments on a non-machine field: %+v", r)
-		}
-	}
-	differentPool := []*JobRequest{
-		{Bench: "x", Cores: 2},
 		{Bench: "x", Machine: MachineOptions{RegionSyncLat: 9}},
 		{Bench: "x", Machine: MachineOptions{ModeSwitchLat: 5}},
 		{Bench: "x", Machine: MachineOptions{QueueBaseLat: 7}},
 		{Bench: "x", Machine: MachineOptions{QueueHopLat: 3}},
 		{Bench: "x", Machine: MachineOptions{QueueCap: -1}},
+		{Bench: "x", Machine: MachineOptions{RegionSyncLat: 2, ModeSwitchLat: 6, QueueBaseLat: 1, QueueHopLat: 4, QueueCap: 32}},
+	}
+	for _, r := range samePool {
+		if normalized(t, r).MachineKey() != base.MachineKey() {
+			t.Errorf("machine key fragments on a non-shape field: %+v", r)
+		}
+	}
+	differentPool := []*JobRequest{
+		{Bench: "x", Cores: 2},
+		{Bench: "x", Cores: 16},
+		{Bench: "x", Cores: 64},
+		{Bench: "x", Cores: 64, Machine: MachineOptions{MeshCols: 16}},
 		{Bench: "x", Machine: MachineOptions{MeshCols: 4}},
 	}
 	seen := map[string]bool{base.MachineKey(): true}
 	for _, r := range differentPool {
 		k := normalized(t, r).MachineKey()
 		if seen[k] {
-			t.Errorf("machine key collision: %+v", r)
+			t.Errorf("machine key collision across shapes: %+v", r)
 		}
 		seen[k] = true
 	}

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"voltron/internal/compiler"
@@ -545,16 +546,17 @@ func (r *JobRequest) CompileKey() string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// MachineKey identifies the machine configuration a normalized request runs
-// on — the pooling key for warm-machine reuse. Jobs with equal MachineKey
-// run on interchangeable machines (one pooled core.Machine serves them all
-// after a Reset); program, strategy, trace and baseline are not part of it
-// because they select what runs, not the machine it runs on.
+// MachineKey identifies the machine shape a normalized request runs on —
+// the pooling key for warm-machine reuse. It holds exactly what
+// core.Machine.Reset compares before deciding to rebuild: the core count
+// (which also fixes the memory geometry) and the mesh columns. Jobs with
+// equal MachineKey run on interchangeable machines: one pooled
+// core.Machine serves them all after a Reset, because every run
+// re-applies the region-sync, mode-switch and queue latencies from its
+// config. Those latencies, like program, strategy, trace and baseline,
+// are therefore not part of the key.
 func (r *JobRequest) MachineKey() string {
-	return fmt.Sprintf("cores=%d rs=%d ms=%d qb=%d qh=%d qc=%d mesh=%d",
-		r.Cores, r.Machine.RegionSyncLat, r.Machine.ModeSwitchLat,
-		r.Machine.QueueBaseLat, r.Machine.QueueHopLat, r.Machine.QueueCap,
-		r.Machine.MeshCols)
+	return "cores=" + strconv.Itoa(r.Cores) + " mesh=" + strconv.Itoa(r.Machine.MeshCols)
 }
 
 // CompilerOpts lowers the request to compiler.Options (Workers is the
