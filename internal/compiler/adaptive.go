@@ -3,7 +3,6 @@ package compiler
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"voltron/internal/core"
 	"voltron/internal/ir"
@@ -138,10 +137,7 @@ func EstimateQueueComm(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) 
 		// are already in the schedule length.
 		return 0
 	}
-	blockByID := map[int64]*ir.Block{}
-	for _, b := range r.Blocks {
-		blockByID[int64(b.ID)] = b
-	}
+	layout := layoutOrder(r)
 	count := func(b *ir.Block) float64 {
 		if pr == nil {
 			return 1
@@ -154,20 +150,10 @@ func EstimateQueueComm(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) 
 	var msgs float64
 	for c := range cr.Code {
 		code := cr.Code[c]
-		// Block extents from the label table, as in EstimateCycles: an
-		// instruction's weight is the count of the last block starting at or
-		// before it (prologue instructions weigh 1).
-		type ext struct {
-			start int
-			blk   *ir.Block
-		}
-		var exts []ext
-		for lbl, idx := range cr.Labels[c] {
-			if b, ok := blockByID[lbl]; ok {
-				exts = append(exts, ext{idx, b})
-			}
-		}
-		sort.Slice(exts, func(i, j int) bool { return exts[i].start < exts[j].start })
+		// Block extents, as in EstimateCycles: an instruction's weight is
+		// the count of the last block starting at or before it (prologue
+		// instructions weigh 1).
+		exts := blockExtents(layout, cr.Labels[c])
 		for i, in := range code {
 			if in.Op != isa.SEND && in.Op != isa.SPAWN {
 				continue

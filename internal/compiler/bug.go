@@ -108,8 +108,8 @@ func lineGroups(r *ir.Region) map[*ir.Op]*ir.Op {
 		}
 	}
 	const lineBytes = 64
-	// One derivation context per loop: building a context walks the whole
-	// region, and this pairwise scan issues O(stores²) queries.
+	// One derivation context per loop: a context indexes the whole region
+	// on its first lookup, and this pairwise scan issues O(stores²) queries.
 	ctxs := map[*ir.Loop]*ir.AffineCtx{}
 	ctxFor := func(l *ir.Loop) *ir.AffineCtx {
 		c, ok := ctxs[l]

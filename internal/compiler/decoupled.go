@@ -66,6 +66,10 @@ type decoupledGen struct {
 	msgOrder map[*ir.Block]map[*message]int
 	// defsOf per value.
 	defs map[ir.Value][]*ir.Op
+	// dfgs memoizes each block's precise DFG: orderMessages and every
+	// core's blockBody read the same graph, and the region is not mutated
+	// while the generator runs.
+	dfgs map[*ir.Block]*ir.BlockDFG
 	// scratch register indices.
 	zeroReg  isa.Reg
 	tokenReg isa.Reg
@@ -94,6 +98,7 @@ func genDecoupled(r *ir.Region, a Assignment, width int, forcePredSend bool) (*c
 		rpo:  r.ReversePostorder(),
 		msgs: map[*ir.Block][]*message{},
 		defs: map[ir.Value][]*ir.Op{},
+		dfgs: map[*ir.Block]*ir.BlockDFG{},
 	}
 	for _, o := range r.AllOps() {
 		if o.Dst != ir.NoValue {
@@ -248,8 +253,23 @@ func (g *decoupledGen) needsValue(v ir.Value, c int) bool {
 	return false
 }
 
-// planMessages computes the data and token messages of every block.
+// blockDFG returns b's precise dependence graph, built once per generator.
+func (g *decoupledGen) blockDFG(b *ir.Block) *ir.BlockDFG {
+	dfg, ok := g.dfgs[b]
+	if !ok {
+		dfg = g.r.BuildBlockDFG(b)
+		g.dfgs[b] = dfg
+	}
+	return dfg
+}
+
+// planMessages computes the data and token messages of every block. A
+// single participant runs every op itself, so no value or memory
+// dependence crosses cores and there is nothing to plan.
 func (g *decoupledGen) planMessages() {
+	if len(g.parts) == 1 {
+		return
+	}
 	loops := g.r.Loops()
 	// Data: push at def to every consuming core lacking the value. A def
 	// whose consumers on the target core all lie outside the enclosing
@@ -360,8 +380,7 @@ func (g *decoupledGen) orderMessages(b *ir.Block) map[*message]int {
 		adj[a] = append(adj[a], c)
 		indeg[c]++
 	}
-	dfg := g.r.BuildBlockDFG(b)
-	for _, e := range dfg.Edges {
+	for _, e := range g.blockDFG(b).Edges {
 		addEdge(opIdx[e.Src], opIdx[e.Dst])
 	}
 	for mi, m := range msgs {
@@ -524,7 +543,7 @@ func (g *decoupledGen) blockBody(c int, b *ir.Block) []isa.Inst {
 		}
 	}
 	// Local dependence edges from the precise block DFG.
-	dfg := g.r.BuildBlockDFG(b)
+	dfg := g.blockDFG(b)
 	for _, o := range localOps {
 		var preds []dagDep
 		for _, e := range dfg.Preds(o) {

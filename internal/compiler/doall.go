@@ -156,9 +156,10 @@ func staticCarried(r *ir.Region, l *ir.Loop) bool {
 			}
 		}
 	}
+	ctx := r.NewAffineCtx(l)
 	for i, a := range memOps {
 		for _, b := range memOps[i+1:] {
-			switch r.MemDep(a, b, l, nil) {
+			switch r.MemDep(a, b, l, ctx) {
 			case ir.MemCarriedDep, ir.MemBothDep:
 				return true
 			}

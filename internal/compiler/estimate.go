@@ -27,10 +27,7 @@ func EstimateCycles(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) flo
 	for _, o := range r.AllOps() {
 		opByID[o.ID] = o
 	}
-	blockByID := map[int64]*ir.Block{}
-	for _, b := range r.Blocks {
-		blockByID[int64(b.ID)] = b
-	}
+	layout := layoutOrder(r)
 	count := func(b *ir.Block) float64 {
 		if pr == nil {
 			return 1
@@ -49,18 +46,7 @@ func EstimateCycles(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) flo
 			miss = append(miss, 0)
 			continue
 		}
-		// Block extents from the label table.
-		type ext struct {
-			start int
-			blk   *ir.Block
-		}
-		var exts []ext
-		for lbl, idx := range cr.Labels[c] {
-			if b, ok := blockByID[lbl]; ok {
-				exts = append(exts, ext{idx, b})
-			}
-		}
-		sort.Slice(exts, func(i, j int) bool { return exts[i].start < exts[j].start })
+		exts := blockExtents(layout, cr.Labels[c])
 		var s float64
 		if len(exts) > 0 {
 			s += float64(exts[0].start) // prologue runs once
@@ -105,4 +91,44 @@ func EstimateCycles(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) flo
 		}
 	}
 	return best
+}
+
+// blockExtent is the run of one core's code that a block starts: from
+// start up to the next extent's start.
+type blockExtent struct {
+	start int
+	blk   *ir.Block
+}
+
+// layoutOrder returns the region's blocks in the order every generator
+// lays out code (reverse postorder), followed by any unreachable blocks.
+func layoutOrder(r *ir.Region) []*ir.Block {
+	order := r.ReversePostorder()
+	inOrder := make([]bool, len(r.Blocks))
+	for _, b := range order {
+		inOrder[b.ID] = true
+	}
+	for _, b := range r.Blocks {
+		if !inOrder[b.ID] {
+			order = append(order, b)
+		}
+	}
+	return order
+}
+
+// blockExtents returns the block extents of one core's label table in code
+// order. A block that emits no instruction on a core shares its start
+// index with the block laid out after it; ties keep layout order, so the
+// last block at an index — the one whose code is there — is charged for it
+// and the empty blocks before it get zero-length extents. Labels that name
+// no block of the region (thread entries) are skipped.
+func blockExtents(order []*ir.Block, labels map[int64]int) []blockExtent {
+	var exts []blockExtent
+	for _, b := range order {
+		if idx, ok := labels[int64(b.ID)]; ok {
+			exts = append(exts, blockExtent{idx, b})
+		}
+	}
+	sort.SliceStable(exts, func(i, j int) bool { return exts[i].start < exts[j].start })
+	return exts
 }

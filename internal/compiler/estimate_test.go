@@ -1,9 +1,11 @@
 package compiler
 
 import (
+	"reflect"
 	"testing"
 
 	"voltron/internal/core"
+	"voltron/internal/workload"
 )
 
 func TestEstimateOrdersConfigurations(t *testing.T) {
@@ -114,6 +116,54 @@ func TestStrategyStrings(t *testing.T) {
 	for s, str := range want {
 		if s.String() != str {
 			t.Errorf("%v.String() = %q, want %q", int(s), s.String(), str)
+		}
+	}
+}
+
+// TestEstimateDeterministic pins the estimate of a region whose layout has
+// empty blocks sharing an instruction index with the next block: the
+// extents must be charged the same way on every call, not in label-map
+// iteration order.
+func TestEstimateDeterministic(t *testing.T) {
+	p, err := workload.Random(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Optimize(p)
+	pr := mustProfile(t, p)
+	r := p.Regions[1]
+	ftlp, err := genFTLP(r, Options{Cores: 4, Strategy: Hybrid, Profile: pr}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// On core 0, block 3 emits nothing and shares its label index with
+	// block 5, laid out after it; block 5 owns the code there and is
+	// charged for it (charging block 3, which never runs, gives 192).
+	first := EstimateCycles(ftlp, r, pr)
+	if first != 197 {
+		t.Errorf("estimate %g cycles, want 197", first)
+	}
+	firstComm := EstimateQueueComm(ftlp, r, pr)
+	for i := 0; i < 50; i++ {
+		if got := EstimateCycles(ftlp, r, pr); got != first {
+			t.Fatalf("estimate %d: %g cycles, first call gave %g", i, got, first)
+		}
+		if got := EstimateQueueComm(ftlp, r, pr); got != firstComm {
+			t.Fatalf("queue estimate %d: %g cycles, first call gave %g", i, got, firstComm)
+		}
+	}
+	opts := Options{Cores: 4, Strategy: Hybrid, Profile: pr}
+	want, err := ClassifyProgram(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		got, err := ClassifyProgram(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("classification %d: %+v, first call gave %+v", i, got, want)
 		}
 	}
 }

@@ -23,15 +23,18 @@ type AddrExpr struct {
 	IVBased bool
 }
 
-// AffineCtx caches single-def lookups during derivation. Building one walks
-// every op in the region, so callers issuing many AddrExprOf/MemDep queries
-// against the same (region, loop) should build the context once with
-// NewAffineCtx and pass it in rather than passing nil per query.
+// AffineCtx caches single-def lookups during derivation. The def index
+// covers every op in the region and is built on the first lookup, so a
+// context whose queries all resolve on opcode or object alone costs
+// nothing. Callers issuing many AddrExprOf/MemDep queries against the same
+// (region, loop) should build the context once with NewAffineCtx and pass
+// it in rather than passing nil per query. A context must not outlive a
+// mutation of the region's ops.
 type AffineCtx struct {
 	r    *Region
 	l    *Loop // may be nil for straight-line analysis
 	iv   Value
-	defs map[Value][]*Op
+	defs map[Value][]*Op // nil until the first lookup
 }
 
 // NewAffineCtx builds a reusable derivation context for a loop (which may be
@@ -39,18 +42,26 @@ type AffineCtx struct {
 func (r *Region) NewAffineCtx(l *Loop) *AffineCtx { return r.newAffineCtx(l) }
 
 func (r *Region) newAffineCtx(l *Loop) *AffineCtx {
-	c := &AffineCtx{r: r, l: l, defs: map[Value][]*Op{}}
+	c := &AffineCtx{r: r, l: l}
 	if l != nil && l.Induction != nil {
 		c.iv = l.Induction.Val
 	}
-	for _, b := range r.Blocks {
-		for _, o := range b.Ops {
-			if o.Dst != NoValue {
-				c.defs[o.Dst] = append(c.defs[o.Dst], o)
+	return c
+}
+
+// defsOf returns the region's defs of v, indexing the region on first use.
+func (c *AffineCtx) defsOf(v Value) []*Op {
+	if c.defs == nil {
+		c.defs = map[Value][]*Op{}
+		for _, b := range c.r.Blocks {
+			for _, o := range b.Ops {
+				if o.Dst != NoValue {
+					c.defs[o.Dst] = append(c.defs[o.Dst], o)
+				}
 			}
 		}
 	}
-	return c
+	return c.defs[v]
 }
 
 // term is an intermediate linear form a*iv + b.
@@ -67,7 +78,7 @@ func (c *AffineCtx) eval(v Value, depth int) term {
 	if v == c.iv && c.iv != NoValue {
 		return term{ok: true, a: 1, ivb: true}
 	}
-	ds := c.defs[v]
+	ds := c.defsOf(v)
 	// The value must have a single reaching definition for the linear form
 	// to be well-defined; the induction variable itself is handled above.
 	var d *Op
@@ -195,6 +206,9 @@ func (r *Region) MemDep(a, b *Op, l *Loop, ctx *AffineCtx) MemDepKind {
 	}
 	if a.Obj == UnknownObj || b.Obj == UnknownObj {
 		return MemBothDep
+	}
+	if ctx == nil {
+		ctx = r.newAffineCtx(l)
 	}
 	ea := r.AddrExprOf(a, l, ctx)
 	eb := r.AddrExprOf(b, l, ctx)

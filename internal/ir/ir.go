@@ -47,15 +47,20 @@ type Op struct {
 	Blk *Block
 }
 
-// Uses returns the values the op reads.
+// Uses returns the values the op reads, in operand order. The result
+// aliases o.Args and allocates nothing: callers may range over it and
+// append to it (its capacity is capped, so append copies) but must not
+// write through it.
 func (o *Op) Uses() []Value {
-	var vs []Value
-	for _, a := range o.Args {
-		if a != NoValue {
-			vs = append(vs, a)
-		}
+	switch {
+	case o.Args[0] != NoValue && o.Args[1] != NoValue:
+		return o.Args[:2:2]
+	case o.Args[0] != NoValue:
+		return o.Args[:1:1]
+	case o.Args[1] != NoValue:
+		return o.Args[1:2:2]
 	}
-	return vs
+	return nil
 }
 
 // String renders the op for dumps and error messages.

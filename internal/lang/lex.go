@@ -134,6 +134,22 @@ func isIdentStart(c byte) bool {
 }
 func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
+// Operator tables, longest match first: next tries the two-byte operators
+// before the one-byte ones.
+var (
+	twoByteOps = map[string]tokKind{
+		"==": tEq, "!=": tNe, "<=": tLe, ">=": tGe,
+		"<<": tShl, ">>": tShr, "&&": tAndAnd, "||": tOrOr,
+	}
+	oneByteOps = map[byte]tokKind{
+		'(': tLParen, ')': tRParen, '{': tLBrace, '}': tRBrace,
+		'[': tLBrack, ']': tRBrack, ',': tComma, ';': tSemi,
+		'=': tAssign, '<': tLt, '>': tGt, '+': tPlus, '-': tMinus,
+		'*': tStar, '/': tSlash, '%': tPercent, '&': tAmp, '|': tPipe,
+		'^': tCaret, '!': tNot,
+	}
+)
+
 // next scans the next token. After an error it returns EOF; the error is
 // in lx.err.
 func (lx *lexer) next() token {
@@ -179,22 +195,14 @@ func (lx *lexer) next() token {
 	if lx.off+1 < len(lx.src) {
 		two = lx.src[lx.off : lx.off+2]
 	}
-	if k, ok := map[string]tokKind{
-		"==": tEq, "!=": tNe, "<=": tLe, ">=": tGe,
-		"<<": tShl, ">>": tShr, "&&": tAndAnd, "||": tOrOr,
-	}[two]; ok {
+	if k, ok := twoByteOps[two]; ok {
 		lx.advance(2)
 		return token{kind: k, pos: pos, text: two}
 	}
-	if k, ok := map[byte]tokKind{
-		'(': tLParen, ')': tRParen, '{': tLBrace, '}': tRBrace,
-		'[': tLBrack, ']': tRBrack, ',': tComma, ';': tSemi,
-		'=': tAssign, '<': tLt, '>': tGt, '+': tPlus, '-': tMinus,
-		'*': tStar, '/': tSlash, '%': tPercent, '&': tAmp, '|': tPipe,
-		'^': tCaret, '!': tNot,
-	}[c]; ok {
+	if k, ok := oneByteOps[c]; ok {
+		text := lx.src[lx.off : lx.off+1]
 		lx.advance(1)
-		return token{kind: k, pos: pos, text: string(c)}
+		return token{kind: k, pos: pos, text: text}
 	}
 	lx.fail(pos, "unexpected character %q", string(c))
 	return token{kind: tEOF, pos: pos}

@@ -412,11 +412,25 @@ type MemStats struct {
 	Writebacks    int64 `json:"writebacks"`
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	req, deprecated, err := spec.DecodeJob(r.Body)
+// maxJobBodyBytes caps the body of a job or validate request. The
+// frontend accepts source programs of up to 64 KiB and JSON escaping at
+// most sextuples them, so every legitimate job fits with room to spare.
+const maxJobBodyBytes = 1 << 20
+
+// decodeRequest decodes and normalizes a job body of at most
+// maxJobBodyBytes, exactly as both POST /v1/jobs and POST /v1/validate
+// accept it. On failure it writes the typed error (413 too_large for an
+// oversized body, 400 otherwise) and reports false.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*spec.JobRequest, bool) {
+	req, deprecated, err := spec.DecodeJob(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, fmt.Errorf("decoding request: %w", err))
+		return nil, false
 	}
 	if len(deprecated) > 0 {
 		w.Header().Set("X-Voltron-Deprecated", strings.Join(deprecated, ", "))
@@ -426,6 +440,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return err == nil
 	}); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return req, true
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeRequest(w, r)
+	if !ok {
 		return
 	}
 	s.jobs.Inc()
@@ -536,24 +558,14 @@ type ValidateResponse struct {
 // reports the per-region plan the compiler would install. Nothing is
 // simulated and nothing enters the caches.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	req, deprecated, err := spec.DecodeJob(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if len(deprecated) > 0 {
-		w.Header().Set("X-Voltron-Deprecated", strings.Join(deprecated, ", "))
-	}
-	if err := req.Normalize(func(b string) bool {
-		_, err := s.suite.Program(b)
-		return err == nil
-	}); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	req, ok := s.decodeRequest(w, r)
+	if !ok {
 		return
 	}
 	var (
-		p  *ir.Program
-		pr *prof.Profile
+		p   *ir.Program
+		pr  *prof.Profile
+		err error
 	)
 	if req.Program.Kind == spec.KindBench {
 		if p, err = s.suite.Program(req.Program.Bench); err != nil {
@@ -956,6 +968,8 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 			resp.Code = spec.ErrBadRequest
 		case status == http.StatusNotFound:
 			resp.Code = spec.ErrNotFound
+		case status == http.StatusRequestEntityTooLarge:
+			resp.Code = spec.ErrTooLarge
 		default:
 			resp.Code = spec.ErrInternal
 		}

@@ -173,6 +173,33 @@ func TestValidateDiagnostics(t *testing.T) {
 	}
 }
 
+// TestOversizedBody: a body over the size limit is refused with a typed
+// 413 on both endpoints that decode jobs, before any of it is decoded.
+func TestOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"program": {"kind": "source", "source": "` + strings.Repeat("x", maxJobBodyBytes) + `"}}`
+	for name, post := range map[string]func(*testing.T, *httptest.Server, string) (*http.Response, []byte){
+		"/v1/jobs": postJob, "/v1/validate": postValidate,
+	} {
+		resp, b := post(t, ts, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, want 413; body %.200s", name, resp.StatusCode, b)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(b, &er); err != nil {
+			t.Fatalf("%s: decoding error body %.200s: %v", name, b, err)
+		}
+		if er.Code != spec.ErrTooLarge {
+			t.Errorf("%s: code = %q, want %q", name, er.Code, spec.ErrTooLarge)
+		}
+	}
+	// A job just under the limit still decodes (and fails on its merits).
+	resp, b := postJob(t, ts, `{"program": {"kind": "source", "source": "`+strings.Repeat(" ", maxJobBodyBytes-64)+`"}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("near-limit job: status = %d, want 400; body %.200s", resp.StatusCode, b)
+	}
+}
+
 // TestValidateBench: benchmarks validate through the suite's pre-built
 // programs and profiles.
 func TestValidateBench(t *testing.T) {

@@ -46,6 +46,9 @@ const (
 	// inconsistent (out-of-range cores, conflicting program forms, bad
 	// kernel parameters).
 	ErrBadSpec = "bad_spec"
+	// ErrTooLarge: the request body exceeds the server's size limit (413
+	// bodies).
+	ErrTooLarge = "too_large"
 	// ErrUnknownBench: the named benchmark does not exist.
 	ErrUnknownBench = "unknown_bench"
 	// ErrUnknownStrategy: the strategy or selection-mode name is not one
