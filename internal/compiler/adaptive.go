@@ -230,14 +230,26 @@ func compileAuto(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
 	return cp, nil
 }
 
-// measureEscalated runs the unmodified measured pipeline over the escalated
-// regions: one all-serial baseline simulation supplies every region's
-// serial time, then each escalated region's candidates are simulated in
-// ascending region order against the background of the committed picks
-// (static winners everywhere, earlier escalated winners, serial for the
-// escalated regions not yet measured — the same
+// measureEscalated runs the measured pipeline over the escalated regions:
+// one all-serial baseline simulation supplies every region's serial time,
+// then each escalated region's candidates are simulated in ascending
+// region order from that region's boundary state under the committed picks
+// (static winners and earlier escalated winners — the same
 // later-regions-see-earlier-winners context as full measured selection).
 func measureEscalated(p *ir.Program, opts Options, cp *core.CompiledProgram, plans []*regionPlan, hard []int) error {
+	pool, err := newEvalPool(opts, cp, serialProgram(p, opts, plans))
+	if err != nil {
+		return err
+	}
+	for _, i := range hard {
+		cp.Selection.Regions[i].Choice = measureRegion(pool, i, plans[i]).String()
+	}
+	return nil
+}
+
+// serialProgram is the all-serial lowering of the planned regions: the
+// baseline measured selection compares every candidate against.
+func serialProgram(p *ir.Program, opts Options, plans []*regionPlan) *core.CompiledProgram {
 	base := &core.CompiledProgram{
 		Name: p.Name, Cores: opts.Cores, Src: p,
 		Regions: make([]*core.CompiledRegion, len(plans)),
@@ -245,28 +257,27 @@ func measureEscalated(p *ir.Program, opts Options, cp *core.CompiledProgram, pla
 	for i, pl := range plans {
 		base.Regions[i] = pl.serial
 	}
-	baseline, err := runSerialBaseline(base)
-	if err != nil {
-		return err
-	}
-	pool := newEvalPool(opts, cp)
-	defer pool.close()
-	for _, i := range hard {
-		cp.Selection.Regions[i].Choice = measureRegion(pool, baseline.RegionCycles[i], cp, i, plans[i]).String()
-	}
-	return nil
+	return base
 }
 
 // ClassifyProgram runs the static classifier over every region of a
 // multicore compile and returns the per-region classifications without
 // simulating anything. It mirrors compileAuto's static tier exactly: a
 // region classified TierEasy/TierSmall/TierDOALL here is what auto mode
-// installs.
+// installs. A single-core compile lowers every region serially, so each is
+// classified single with nothing to rank.
 func ClassifyProgram(p *ir.Program, opts Options) ([]Classification, error) {
 	opts = opts.withDefaults()
 	p.PrepareOnce(func() { Optimize(p) })
 	if err := p.Verify(); err != nil {
 		return nil, fmt.Errorf("classify %q: %w", p.Name, err)
+	}
+	if opts.Cores <= 1 {
+		out := make([]Classification, len(p.Regions))
+		for i := range out {
+			out[i] = Classification{Tier: TierEasy, Choice: ChoseSingle, Confidence: 1}
+		}
+		return out, nil
 	}
 	if opts.Profile == nil {
 		pr, err := prof.Collect(p)
@@ -340,21 +351,12 @@ func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Op
 	out.Selection.Static -= len(suspect)
 	out.Selection.Escalated += len(suspect)
 	out.Selection.Regions = append([]core.RegionSelection(nil), cp.Selection.Regions...)
-	base := &core.CompiledProgram{
-		Name: p.Name, Cores: opts.Cores, Src: p,
-		Regions: make([]*core.CompiledRegion, len(plans)),
-	}
-	for i, pl := range plans {
-		base.Regions[i] = pl.serial
-	}
-	baseline, err := runSerialBaseline(base)
+	pool, err := newEvalPool(opts, out, serialProgram(p, opts, plans))
 	if err != nil {
 		return nil, nil, err
 	}
-	pool := newEvalPool(opts, out)
-	defer pool.close()
 	for _, i := range suspect {
-		choice := measureRegion(pool, baseline.RegionCycles[i], out, i, plans[i])
+		choice := measureRegion(pool, i, plans[i])
 		out.Selection.Regions[i].Tier = TierRechecked.String()
 		out.Selection.Regions[i].Choice = choice.String()
 	}

@@ -56,10 +56,10 @@ func BenchmarkCompileSource(b *testing.B) {
 
 // TestCompileAllocCeiling is the allocation guard for the compile path.
 // Each analysis is built once per region, loop or generator, so one
-// compile of the guard program allocates about 7.8k objects; rebuilding
+// compile of the guard program allocates about 8.0k objects; rebuilding
 // the affine def index per query, a block DFG per core, a message plan
 // for single-core lowerings or a slice per Op.Uses call roughly doubles
-// that. The ceiling leaves about 10% headroom.
+// that. The ceiling leaves about 7% headroom.
 func TestCompileAllocCeiling(t *testing.T) {
 	src := guardSource(t)
 	const runs = 5

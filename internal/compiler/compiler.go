@@ -210,25 +210,21 @@ func Compile(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
 	return cp, nil
 }
 
-// compileRegion picks and applies a strategy for one region.
+// compileRegion lowers one region outside per-region selection: serial for
+// single-core and Serial compiles, statistical DOALL (serial where it does
+// not apply) for ForceLLP. Compile sends every other multicore strategy to
+// selection.
 func compileRegion(r *ir.Region, opts Options) (*core.CompiledRegion, error) {
-	if opts.Cores == 1 || opts.Strategy == Serial {
+	switch {
+	case opts.Cores <= 1 || opts.Strategy == Serial:
 		return genSerial(r, opts.Cores)
-	}
-	switch opts.Strategy {
-	case ForceILP:
-		return genILP(r, opts)
-	case ForceFTLP:
-		return genFTLP(r, opts)
-	case ForceLLP:
+	case opts.Strategy == ForceLLP:
 		if cr, ok, err := tryDOALL(r, opts); err != nil {
 			return nil, err
 		} else if ok {
 			return cr, nil
 		}
 		return genSerial(r, opts.Cores)
-	case Hybrid:
-		return genHybrid(r, opts)
 	}
 	return nil, fmt.Errorf("unknown strategy %v", opts.Strategy)
 }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -16,21 +17,34 @@ import (
 // efficient parallelism; for the Force* strategies the single technique
 // competes against serial only — the per-technique bars of Figures 10/11.
 //
-// This is the compiler's hot path, so it is organized for host parallelism
-// while staying bit-identical to the sequential pipeline (Workers=1):
+// This is the compiler's hot path, so each cycle is simulated as few times
+// as the comparison allows, and the outcome is identical for every worker
+// count (Workers=1 is the sequential pipeline):
 //
 //   - the serial baseline is simulated ONCE per selection pass — one
 //     full-program run of the all-serial lowering yields every region's
-//     serial time at once, where the old pipeline re-simulated the whole
-//     program per region just to read RegionCycles[i];
+//     serial time at once;
 //   - candidate lowerings are generated concurrently per region (pure
 //     reads of the IR; every generator clones before mutating);
-//   - candidate simulations run on a bounded worker pool, one reusable
-//     core.Machine plus one cloned background CompiledProgram per worker,
-//     with a barrier per region so later regions are always measured
-//     against the committed winners of earlier ones;
+//   - a candidate simulates only its own region: a prefix machine runs the
+//     committed lowerings up to the region's boundary, each candidate's
+//     machine copies that boundary state (core.Machine.CopyFrom) and steps
+//     the one region, concurrently on up to maxCandidatesPerRegion
+//     machines, with a barrier per region so later regions are always
+//     measured against the committed winners of earlier ones;
+//   - the winning candidate's machine already holds the state after the
+//     region, so it becomes the prefix; the prefix re-simulates a region
+//     only where serial won or no candidate competed (small, DOALL or
+//     candidate-less regions);
 //   - the winner is chosen by fixed candidate order, never completion
 //     order, so the selected program does not depend on scheduling.
+//
+// A candidate is timed up to the end of its region, so a failure in a later
+// region no longer disqualifies it, where a full-program run would have.
+// The regions after the one being measured are serial baselines, or picks
+// whose code does not depend on the candidate, so this only matters for a
+// program that would fail regardless; the full-program differential in the
+// tests pins the two to the same region times.
 
 // maxCandidatesPerRegion bounds the simulations one region's barrier can
 // overlap (coupled ILP and fine-grain TLP; DOALL is taken without a race).
@@ -91,12 +105,10 @@ func compileMeasured(p *ir.Program, opts Options) (*core.CompiledProgram, error)
 		}
 		cp.Regions[i] = pl.serial
 	}
-	baseline, err := runSerialBaseline(cp)
+	pool, err := newEvalPool(opts, cp, cp)
 	if err != nil {
 		return nil, err
 	}
-	pool := newEvalPool(opts, cp)
-	defer pool.close()
 	for i := range p.Regions {
 		pl := plans[i]
 		sel := &cp.Selection.Regions[i]
@@ -108,13 +120,12 @@ func compileMeasured(p *ir.Program, opts Options) (*core.CompiledProgram, error)
 		if pl.doall != nil {
 			cp.Regions[i] = pl.doall
 			*sel = core.RegionSelection{Tier: TierDOALL.String(), Choice: ChoseLLP.String(), Confidence: 1}
-			pool.commit(i, pl.doall)
 			continue
 		}
 		if len(pl.candidates) == 0 {
 			continue
 		}
-		sel.Choice = measureRegion(pool, baseline.RegionCycles[i], cp, i, pl).String()
+		sel.Choice = measureRegion(pool, i, pl).String()
 		cp.Selection.Measured++
 	}
 	if err := cp.Validate(); err != nil {
@@ -123,43 +134,28 @@ func compileMeasured(p *ir.Program, opts Options) (*core.CompiledProgram, error)
 	return cp, nil
 }
 
-// runSerialBaseline simulates the all-serial lowering once — one
-// full-program run yields every region's serial time at once. A failed
-// baseline is a hard error: without serial region times no candidate could
-// ever be compared against serial, and silently letting the first
-// non-failing candidate win would ship a lowering that was never measured
-// to help. Selection only reads RegionCycles, so the stall-breakdown
-// accounting is skipped (NoStats).
-func runSerialBaseline(cp *core.CompiledProgram) (*core.RunResult, error) {
-	cfg := core.DefaultConfig(cp.Cores)
-	cfg.NoStats = true
-	res, err := core.New(cfg).Run(cp)
-	if err != nil {
-		return nil, fmt.Errorf("%s: serial baseline: %w", cp.Name, err)
-	}
-	return res, nil
-}
-
-// measureRegion simulates one region's candidates against the committed
-// background, installs the winner into cp, and returns its choice. A
-// candidate must strictly beat the best so far in fixed candidate order, so
-// ties keep the earlier entry (serial first) — exactly the sequential
-// pipeline's tie-breaking. serialCycles is the region's time in the
-// all-serial baseline.
-func measureRegion(pool *evalPool, serialCycles int64, cp *core.CompiledProgram, i int, pl *regionPlan) Choice {
+// measureRegion simulates region i's candidates from the committed
+// program's boundary state, installs the winner into the pool's program,
+// and returns its choice. A candidate must strictly beat the best so far in
+// fixed candidate order, so ties keep the earlier entry (serial first, at
+// its time in the all-serial baseline) — exactly the sequential pipeline's
+// tie-breaking.
+func measureRegion(pool *evalPool, i int, pl *regionPlan) Choice {
 	crs := make([]*core.CompiledRegion, len(pl.candidates))
 	for k := range pl.candidates {
 		crs[k] = pl.candidates[k].cr
 	}
 	cycles := pool.measure(i, crs)
-	best, bestCycles, bestChoice := pl.serial, serialCycles, ChoseSingle
+	best, bestCycles, bestChoice, winner := pl.serial, pool.serial[i], ChoseSingle, -1
 	for k, cand := range pl.candidates {
 		if cycles[k] >= 0 && cycles[k] < bestCycles {
-			best, bestCycles, bestChoice = cand.cr, cycles[k], cand.choice
+			best, bestCycles, bestChoice, winner = cand.cr, cycles[k], cand.choice, k
 		}
 	}
-	cp.Regions[i] = best
-	pool.commit(i, best)
+	pool.cp.Regions[i] = best
+	if winner >= 0 {
+		pool.adopt(winner)
+	}
 	return bestChoice
 }
 
@@ -226,91 +222,120 @@ func planRegion(r *ir.Region, opts Options) *regionPlan {
 	return pl
 }
 
-// evalPool simulates candidate lowerings concurrently. Each worker owns one
-// reusable Machine and one clone of the background program, kept in sync
-// with the winners committed so far.
+// evalPool measures candidate lowerings one region at a time. The prefix
+// machine runs the committed program (cp's lowerings) up to the boundary
+// of the region being measured; each candidate's slot machine copies that
+// boundary state and simulates only its own region. Every machine is a
+// NoStats throwaway: selection reads region times alone.
 type evalPool struct {
-	jobs    chan evalJob
-	wg      sync.WaitGroup
-	workers []*evalWorker
+	cp      *core.CompiledProgram
+	workers int
+	// serial is each region's time in the all-serial baseline run.
+	serial []int64
+	prefix *core.Machine
+	// prefixErr is the failure of a committed region: every later
+	// candidate fails with it, as its full-program run would have.
+	prefixErr error
+	// slots[k] simulates candidate k; cycles[k] and simmed[k] hold its
+	// region time (-1: failed) and its simulated cycles (failed or not).
+	slots  [maxCandidatesPerRegion]*core.Machine
+	cycles [maxCandidatesPerRegion]int64
+	simmed [maxCandidatesPerRegion]int64
 }
 
-type evalWorker struct {
-	machine *core.Machine
-	bg      *core.CompiledProgram
-}
-
-type evalJob struct {
-	region int
-	cand   *core.CompiledRegion
-	cycles *int64
-	done   *sync.WaitGroup
-}
-
-func newEvalPool(opts Options, cp *core.CompiledProgram) *evalPool {
-	n := opts.Workers
-	if n > maxCandidatesPerRegion {
-		n = maxCandidatesPerRegion
+// newEvalPool simulates base, the all-serial lowering, once — one
+// full-program run yields every region's serial time — and then starts the
+// prefix machine on cp at cycle 0. cp is the program under selection:
+// measureRegion installs winners into it, and the prefix only ever steps
+// its regions below the one being measured. A failed baseline is a hard
+// error: without serial region times no candidate could ever be compared
+// against serial, and letting the first non-failing candidate win would
+// ship a lowering that was never measured to help.
+func newEvalPool(opts Options, cp, base *core.CompiledProgram) (*evalPool, error) {
+	cfg := core.DefaultConfig(cp.Cores)
+	cfg.NoStats = true
+	p := &evalPool{cp: cp, workers: min(max(opts.Workers, 1), maxCandidatesPerRegion), prefix: core.New(cfg)}
+	for k := range p.slots {
+		p.slots[k] = core.New(cfg)
 	}
-	if n < 1 {
-		n = 1
+	res, err := p.prefix.Run(base)
+	if err != nil {
+		return nil, fmt.Errorf("%s: serial baseline: %w", base.Name, err)
 	}
-	pool := &evalPool{jobs: make(chan evalJob)}
-	// Measurement machines are throwaways whose stats nobody reads.
-	evalCfg := core.DefaultConfig(cp.Cores)
-	evalCfg.NoStats = true
-	for w := 0; w < n; w++ {
-		ew := &evalWorker{
-			machine: core.New(evalCfg),
-			bg: &core.CompiledProgram{
-				Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
-				Regions: append([]*core.CompiledRegion(nil), cp.Regions...),
-			},
+	p.serial = res.RegionCycles
+	cp.Selection.SimCycles += res.TotalCycles
+	if err := p.prefix.Begin(context.Background(), cp); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// advance steps the prefix machine through the committed regions below i.
+func (p *evalPool) advance(i int) error {
+	for r := p.prefix.NextRegion(); r < i && p.prefixErr == nil; r++ {
+		cr := p.cp.Regions[r]
+		if err := cr.Validate(p.cp.Cores); err != nil {
+			p.prefixErr = err
+			break
 		}
-		pool.workers = append(pool.workers, ew)
-		pool.wg.Add(1)
-		go func() {
-			defer pool.wg.Done()
-			for job := range pool.jobs {
-				ew.bg.Regions[job.region] = job.cand
-				res, err := ew.machine.Run(ew.bg)
-				if err != nil {
-					*job.cycles = -1 // a misbehaving candidate never wins
-				} else {
-					*job.cycles = res.RegionCycles[job.region]
-				}
-				job.done.Done()
-			}
-		}()
+		start := p.prefix.Now()
+		_, err := p.prefix.StepRegion(cr)
+		p.cp.Selection.SimCycles += p.prefix.Now() - start
+		p.prefixErr = err
 	}
-	return pool
+	return p.prefixErr
 }
 
-// measure simulates one region's candidates and returns their region times
-// in candidate order (-1 marks a failed simulation). It returns only after
-// every candidate finished — the per-region barrier.
-func (p *evalPool) measure(region int, cands []*core.CompiledRegion) []int64 {
-	cycles := make([]int64, len(cands))
-	var done sync.WaitGroup
-	done.Add(len(cands))
-	for k, cand := range cands {
-		p.jobs <- evalJob{region: region, cand: cand, cycles: &cycles[k], done: &done}
+// measure simulates region i's candidates from the committed program's
+// boundary state and returns their region times in candidate order (-1
+// marks a failed simulation). It returns only after every candidate
+// finished — the per-region barrier.
+func (p *evalPool) measure(i int, cands []*core.CompiledRegion) []int64 {
+	cycles := p.cycles[:len(cands)]
+	if p.advance(i) != nil {
+		for k := range cycles {
+			cycles[k] = -1 // a misbehaving candidate never wins
+		}
+		return cycles
 	}
-	done.Wait()
+	var wg sync.WaitGroup
+	for k := range cands {
+		if k > 0 && k < p.workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.run(k, cands[k])
+			}()
+			continue
+		}
+		p.run(k, cands[k])
+	}
+	wg.Wait()
+	for k := range cands {
+		p.cp.Selection.SimCycles += p.simmed[k]
+	}
 	return cycles
 }
 
-// commit installs a region's winning lowering into every worker's
-// background program, so later regions are measured against the winners of
-// earlier ones — the same context the sequential pipeline used. Callers
-// only commit between barriers, when every worker is idle.
-func (p *evalPool) commit(region int, cr *core.CompiledRegion) {
-	for _, w := range p.workers {
-		w.bg.Regions[region] = cr
+// run simulates candidate k's region on its slot machine from the prefix's
+// boundary state. It only reads the prefix, so candidates run concurrently.
+func (p *evalPool) run(k int, cand *core.CompiledRegion) {
+	m := p.slots[k]
+	p.cycles[k], p.simmed[k] = -1, 0
+	if cand.Validate(p.cp.Cores) != nil || m.CopyFrom(p.prefix) != nil {
+		return
+	}
+	start := m.Now()
+	c, err := m.StepRegion(cand)
+	p.simmed[k] = m.Now() - start
+	if err == nil {
+		p.cycles[k] = c
 	}
 }
 
-func (p *evalPool) close() {
-	close(p.jobs)
-	p.wg.Wait()
+// adopt makes candidate k's machine the prefix: after the measure that
+// chose k, it holds exactly the state the committed program reaches at the
+// end of the region, so the prefix need not simulate the region again.
+func (p *evalPool) adopt(k int) {
+	p.prefix, p.slots[k] = p.slots[k], p.prefix
 }

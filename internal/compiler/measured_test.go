@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -74,6 +75,137 @@ func TestMeasuredSelectionDeterministicOnBenchmarks(t *testing.T) {
 				t.Errorf("%s: parallel selection diverges from sequential", bench)
 			}
 		})
+	}
+}
+
+// oracleRegionCycles is how measured selection timed a candidate before it
+// measured from region-boundary state: the committed program with the
+// candidate installed at region i, simulated in full from cycle 0, read at
+// RegionCycles[i] (-1 when the run fails anywhere).
+func oracleRegionCycles(cp *core.CompiledProgram, i int, cand *core.CompiledRegion) int64 {
+	bg := &core.CompiledProgram{
+		Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
+		Regions: append([]*core.CompiledRegion(nil), cp.Regions...),
+	}
+	bg.Regions[i] = cand
+	cfg := core.DefaultConfig(cp.Cores)
+	cfg.NoStats = true
+	res, err := core.New(cfg).Run(bg)
+	if err != nil {
+		return -1
+	}
+	return res.RegionCycles[i]
+}
+
+// checkBoundaryMeasurement replays compileMeasured's selection loop and
+// asserts that every candidate's region time, measured from the boundary
+// state (after earlier winners were adopted as the prefix), equals the
+// full-program oracle's — and that the replay selects Compile's program.
+func checkBoundaryMeasurement(t *testing.T, name string, p *ir.Program, opts Options) {
+	t.Helper()
+	want, err := Compile(p, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	opts = opts.withDefaults()
+	plans := planRegions(p, opts)
+	cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores, Src: p, Regions: make([]*core.CompiledRegion, len(plans))}
+	for i, pl := range plans {
+		cp.Regions[i] = pl.serial
+	}
+	pool, err := newEvalPool(opts, cp, cp)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i, pl := range plans {
+		if pl.doall != nil && !pl.small {
+			cp.Regions[i] = pl.doall
+		}
+		if pl.small || pl.doall != nil || len(pl.candidates) == 0 {
+			continue
+		}
+		crs := make([]*core.CompiledRegion, len(pl.candidates))
+		for k := range pl.candidates {
+			crs[k] = pl.candidates[k].cr
+		}
+		got := append([]int64(nil), pool.measure(i, crs)...)
+		for k, cand := range crs {
+			if oracle := oracleRegionCycles(cp, i, cand); got[k] != oracle {
+				t.Errorf("%s: region %d candidate %v: %d cycles from the boundary, %d in a full-program run",
+					name, i, pl.candidates[k].choice, got[k], oracle)
+			}
+		}
+		measureRegion(pool, i, pl)
+	}
+	if g, w := digestProgram(cp), digestProgram(want); g != w {
+		t.Errorf("%s: replayed selection differs from Compile's", name)
+	}
+}
+
+// TestBoundaryMeasurementMatchesFullRuns is the differential behind
+// measuring a candidate from its region's boundary: the 25 workloads under
+// the three measured strategies at 2 and 4 cores, and random programs.
+func TestBoundaryMeasurementMatchesFullRuns(t *testing.T) {
+	for _, name := range workload.Names() {
+		p, err := workload.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := prof.Collect(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []Strategy{Hybrid, ForceILP, ForceFTLP} {
+			for _, cores := range []int{2, 4} {
+				checkBoundaryMeasurement(t, fmt.Sprintf("%s/%v/%d", name, strat, cores), p,
+					Options{Cores: cores, Strategy: strat, Profile: pr, Workers: cores / 2})
+			}
+		}
+	}
+	for seed := 0; seed < 60; seed++ {
+		p, err := workload.Random(int64(seed), 1+seed%4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := prof.Collect(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBoundaryMeasurement(t, fmt.Sprintf("seed%d", seed), p,
+			Options{Cores: 2 + 2*(seed%2), Strategy: Hybrid, Profile: pr})
+	}
+}
+
+// TestSelectionSimCyclesCeiling is the deterministic cost gate of measured
+// selection: the cycles one hybrid/4 compile simulates to choose its
+// lowerings (serial baseline, prefix steps, candidate regions). Measuring
+// each candidate over the whole program cost 93236, 391414 and 141127
+// cycles for these three; measuring its region from the boundary state,
+// with winners adopted as the prefix, costs 84141, 232360 and 88420. Each
+// ceiling sits between the two, so a return to full-program candidate runs
+// (or any extra re-simulation) fails.
+func TestSelectionSimCyclesCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		bench   string
+		ceiling int64
+	}{
+		{"gsmdecode", 88000},
+		{"179.art", 300000},
+		{"mpeg2dec", 110000},
+	} {
+		p, err := workload.Build(tc.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := Compile(p, Options{Cores: 4, Strategy: Hybrid, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cp.Selection.SimCycles
+		t.Logf("%s hybrid/4: selection simulated %d cycles (ceiling %d)", tc.bench, got, tc.ceiling)
+		if got == 0 || got > tc.ceiling {
+			t.Errorf("%s: selection simulated %d cycles, want (0, %d]", tc.bench, got, tc.ceiling)
+		}
 	}
 }
 

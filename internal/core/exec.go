@@ -200,6 +200,12 @@ type CompiledProgram struct {
 	// (selection metrics, the X-Voltron-Select header) and the
 	// selection-agreement experiments consume it.
 	Selection SelectionSummary
+
+	// image is the initial memory image, built from Src once per program
+	// (guarded like CompiledRegion.resolve, so concurrent Machines may share
+	// one artifact) and copied for every run.
+	imageOnce sync.Once
+	image     *mem.Flat
 }
 
 // SelectionSummary describes one compile's per-region selection outcomes.
@@ -211,6 +217,11 @@ type SelectionSummary struct {
 	// Escalated those it sent to measured selection on low confidence,
 	// Measured those decided by simulation under measured mode.
 	Static, Escalated, Measured int
+	// SimCycles is the cycles selection simulated to decide the program:
+	// the serial baseline run, the committed regions stepped to reach each
+	// measured region's boundary, and every candidate's region. It is a
+	// deterministic cost count, 0 when nothing was simulated.
+	SimCycles int64
 	// Regions parallels CompiledProgram.Regions.
 	Regions []RegionSelection
 }
@@ -237,5 +248,8 @@ func (cp *CompiledProgram) Validate() error {
 	return nil
 }
 
-// NewMemory builds the initial memory image for a run.
-func (cp *CompiledProgram) NewMemory() *mem.Flat { return mem.NewFlatFor(cp.Src) }
+// NewMemory returns a private copy of the program's initial memory image.
+func (cp *CompiledProgram) NewMemory() *mem.Flat {
+	cp.imageOnce.Do(func() { cp.image = mem.NewFlatFor(cp.Src) })
+	return cp.image.Clone()
+}

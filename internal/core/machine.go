@@ -110,6 +110,10 @@ type Machine struct {
 	// sched is the decoupled event loop's wake scheduler, reused across
 	// regions and runs like the rest of the per-core scratch state.
 	sched wakeSched
+	// handedOut is set once Finish has given the run's outputs (stats,
+	// memory image, region times) to a RunResult, which CopyFrom must then
+	// not overwrite.
+	handedOut bool
 }
 
 // New creates a machine.
@@ -246,6 +250,13 @@ type runState struct {
 	// pollCtr rate-limits the ctx.Err() poll to one per 4096 loop passes.
 	ctx     context.Context
 	pollCtr uint32
+	// Region-step state: the run's memory image, the times of the regions
+	// stepped so far, the mode of the last one (-1 before the first) and
+	// the index of the next.
+	flat         *mem.Flat
+	regionCycles []int64
+	prevMode     Mode
+	next         int
 }
 
 // checkCancel polls the run's context at most once every 4096 calls, so the
@@ -274,12 +285,44 @@ func (m *Machine) Run(cp *CompiledProgram) (*RunResult, error) {
 // (with an error wrapping ctx.Err()) once ctx is canceled. Cancellation is
 // polled from the simulation loops, so a long-running simulation notices a
 // canceled context within a bounded number of loop passes.
+//
+// A run is a sequence of region steps — Begin, one StepRegion per region,
+// Finish — and RunContext is exactly that sequence over cp's own regions.
+// Measured selection drives the same steps itself, substituting candidate
+// lowerings region by region (see CopyFrom).
 func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResult, error) {
 	if err := cp.Validate(); err != nil {
 		return nil, err
 	}
+	if err := m.Begin(ctx, cp); err != nil {
+		return nil, err
+	}
+	rs := &m.rs
+	// Drop run-scoped references on the way out so an idle pooled machine
+	// pins neither the compiled program nor the request's context/tracer.
+	defer func() { rs.ctx, rs.cp, rs.cr, rs.tr = nil, nil, nil, nil }()
+	if m.cfg.Trace != nil {
+		// Render on the way out so the text trace survives aborted runs
+		// (deadlocks, schedule violations) exactly as the streamed legacy
+		// trace did.
+		defer rs.tr.WriteText(m.cfg.Trace)
+	}
+	for _, cr := range cp.Regions {
+		if _, err := m.StepRegion(cr); err != nil {
+			return nil, err
+		}
+	}
+	return m.Finish(), nil
+}
+
+// Begin starts a region-stepped run of cp: a fresh memory image, the
+// machine components in their initial state and the clock at cycle 0. It
+// checks the core count but not the regions: StepRegion runs whatever
+// lowering it is handed, which must have passed Validate for the machine's
+// width.
+func (m *Machine) Begin(ctx context.Context, cp *CompiledProgram) error {
 	if cp.Cores != m.cfg.Cores {
-		return nil, fmt.Errorf("program compiled for %d cores, machine has %d", cp.Cores, m.cfg.Cores)
+		return fmt.Errorf("program compiled for %d cores, machine has %d", cp.Cores, m.cfg.Cores)
 	}
 	flat := cp.NewMemory()
 	if m.sys == nil {
@@ -296,32 +339,18 @@ func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResu
 	rs := &m.rs
 	cores := rs.cores[:0]
 	*rs = runState{
-		m:       m,
-		cp:      cp,
-		sys:     m.sys,
-		direct:  m.direct,
-		queue:   m.queue,
-		run:     stats.NewRun(m.cfg.Cores),
-		cores:   cores,
-		statsOn: !m.cfg.NoStats,
-		tr:      m.cfg.Tracer,
-		ref:     m.cfg.Reference,
+		m:            m,
+		cp:           cp,
+		sys:          m.sys,
+		direct:       m.direct,
+		queue:        m.queue,
+		run:          stats.NewRun(m.cfg.Cores),
+		cores:        cores,
+		flat:         flat,
+		regionCycles: make([]int64, 0, len(cp.Regions)),
+		prevMode:     Mode(-1),
 	}
-	// Drop run-scoped references on the way out so an idle pooled machine
-	// pins neither the compiled program nor the request's context/tracer.
-	defer func() { rs.ctx, rs.cp, rs.cr, rs.tr = nil, nil, nil, nil }()
-	if rs.tr == nil && m.cfg.Trace != nil {
-		// A text-only trace still flows through the structured stream: the
-		// machine collects events and renders them below.
-		rs.tr = trace.New()
-	}
-	if m.cfg.Trace != nil {
-		// Render on the way out so the text trace survives aborted runs
-		// (deadlocks, schedule violations) exactly as the streamed legacy
-		// trace did.
-		defer rs.tr.WriteText(m.cfg.Trace)
-	}
-	rs.sys.Tracer = rs.tr
+	m.attach()
 	if ctx.Done() != nil {
 		rs.ctx = ctx
 	}
@@ -334,35 +363,146 @@ func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResu
 	if m.cfg.QueueCap != 0 {
 		rs.queue.Cap = m.cfg.QueueCap
 	}
-	res := &RunResult{Run: rs.run, Mem: flat, RegionCycles: make([]int64, 0, len(cp.Regions))}
-	prevMode := Mode(-1)
-	for i, cr := range cp.Regions {
-		if rs.tr != nil {
-			rs.tr.RegionBegin(rs.now, cr.Name, cr.Mode.String(), m.cfg.Cores)
-		}
-		start := rs.now
-		// Region barrier (+ mode switch when the mode changes).
-		overhead := m.cfg.RegionSyncLat
-		if prevMode >= 0 && prevMode.StatsMode() != cr.Mode.StatsMode() {
-			overhead += m.cfg.ModeSwitchLat
-		}
-		rs.chargeAll(stats.SyncCallRet, overhead)
-		rs.now += overhead
-		if err := rs.runRegion(i, cr); err != nil {
-			return nil, fmt.Errorf("region %q: %w", cr.Name, err)
-		}
-		if rs.tr != nil {
-			rs.tr.RegionEnd(rs.now)
-		}
-		cycles := rs.now - start
-		res.RegionCycles = append(res.RegionCycles, cycles)
-		rs.run.ModeCycles[cr.Mode.StatsMode()] += cycles
-		prevMode = cr.Mode
+	m.handedOut = false
+	return nil
+}
+
+// attach applies the machine's own configuration to a run state that Begin
+// or CopyFrom just installed: stats gating, tracing and the stepper.
+func (m *Machine) attach() {
+	rs := &m.rs
+	rs.statsOn = !m.cfg.NoStats
+	rs.tr = m.cfg.Tracer
+	rs.ref = m.cfg.Reference
+	if rs.tr == nil && m.cfg.Trace != nil {
+		// A text-only trace still flows through the structured stream: the
+		// machine collects events and RunContext renders them.
+		rs.tr = trace.New()
 	}
+	rs.sys.Tracer = rs.tr
+}
+
+// NextRegion is the index of the region the next StepRegion runs.
+func (m *Machine) NextRegion() int { return m.rs.next }
+
+// Now is the run's current cycle: the end of the last region stepped, or
+// where a failed step stopped.
+func (m *Machine) Now() int64 { return m.rs.now }
+
+// StepRegion runs the run's next region with the lowering cr and returns
+// the region's cycles (its barrier and mode-switch overhead included). A
+// failed step leaves the machine mid-region; only Begin or CopyFrom makes
+// it usable again.
+func (m *Machine) StepRegion(cr *CompiledRegion) (int64, error) {
+	rs := &m.rs
+	if rs.cp == nil {
+		return 0, fmt.Errorf("region %q: no run in progress", cr.Name)
+	}
+	if rs.tr != nil {
+		rs.tr.RegionBegin(rs.now, cr.Name, cr.Mode.String(), m.cfg.Cores)
+	}
+	start := rs.now
+	// Region barrier (+ mode switch when the mode changes).
+	overhead := m.cfg.RegionSyncLat
+	if rs.prevMode >= 0 && rs.prevMode.StatsMode() != cr.Mode.StatsMode() {
+		overhead += m.cfg.ModeSwitchLat
+	}
+	rs.chargeAll(stats.SyncCallRet, overhead)
+	rs.now += overhead
+	if err := rs.runRegion(rs.next, cr); err != nil {
+		return 0, fmt.Errorf("region %q: %w", cr.Name, err)
+	}
+	if rs.tr != nil {
+		rs.tr.RegionEnd(rs.now)
+	}
+	cycles := rs.now - start
+	rs.regionCycles = append(rs.regionCycles, cycles)
+	rs.run.ModeCycles[cr.Mode.StatsMode()] += cycles
+	rs.prevMode = cr.Mode
+	rs.next++
+	return cycles, nil
+}
+
+// Finish ends the run and assembles its result. The result owns the run's
+// stats, memory image and region times; the machine allocates new ones at
+// its next Begin or CopyFrom.
+func (m *Machine) Finish() *RunResult {
+	rs := &m.rs
 	rs.run.TotalCycles = rs.now
 	rs.run.TMConflicts = rs.sys.TM.Conflicts()
-	res.MemStats = rs.sys.St
-	return res, nil
+	m.handedOut = true
+	res := &RunResult{Run: rs.run, Mem: rs.flat, MemStats: rs.sys.St, RegionCycles: rs.regionCycles}
+	rs.cp = nil
+	return res
+}
+
+// CopyFrom loads src's region-boundary state into m, so that m's next
+// StepRegion continues src's run exactly as src's own would: the memory
+// image (copied into m's buffer), the cache tags with their LRU clocks and
+// fetch memos, the bus and bank clocks, the memory stats and TM conflict
+// count, both networks, the cycle, the previous region's mode, the next
+// region index, the per-region times and the run stats. src must be
+// between regions of a run in progress with no transaction active, and
+// both machines must have the same shape (core count, memory geometry,
+// mesh). m keeps its own configuration for what it simulates next (region
+// overheads, stats gating, tracing, stepper); src is only read, so several
+// machines may copy one source concurrently.
+func (m *Machine) CopyFrom(src *Machine) error {
+	if src.cfg.Cores != m.cfg.Cores || src.cfg.Mem != m.cfg.Mem || src.cfg.MeshCols != m.cfg.MeshCols {
+		return fmt.Errorf("copy between machine shapes: %d cores (mesh cols %d) from %d cores (mesh cols %d)",
+			m.cfg.Cores, m.cfg.MeshCols, src.cfg.Cores, src.cfg.MeshCols)
+	}
+	s := &src.rs
+	if s.cp == nil {
+		return fmt.Errorf("copy from a machine with no run in progress")
+	}
+	if src.sys.TM.AnyActive() {
+		return fmt.Errorf("copy at cycle %d: a transaction is active (not a region boundary)", s.now)
+	}
+	// A result handed out by Finish aliases the image, stats and region
+	// times, so they are reallocated rather than overwritten.
+	reuse := !m.handedOut && m.sys != nil
+	var flat *mem.Flat
+	if reuse {
+		flat = m.rs.flat
+	}
+	flat = s.flat.CopyInto(flat)
+	if m.sys == nil {
+		m.sys = mem.NewSystem(m.cfg.Mem, flat)
+		m.direct = xnet.NewDirectNet(m.top)
+		m.queue = xnet.NewQueueNet(m.top)
+	}
+	m.sys.CopyFrom(src.sys, flat, reuse)
+	m.direct.CopyFrom(src.direct)
+	m.queue.CopyFrom(src.queue)
+	rs := &m.rs
+	run, regionCycles := rs.run, rs.regionCycles
+	if !reuse {
+		run, regionCycles = &stats.Run{}, nil
+	}
+	cores := run.Cores
+	*run = *s.run
+	run.Cores = append(cores[:0], s.run.Cores...)
+	regionCycles = append(regionCycles[:0], s.regionCycles...)
+	coreStates := rs.cores[:0]
+	*rs = runState{
+		m:            m,
+		cp:           s.cp,
+		sys:          m.sys,
+		direct:       m.direct,
+		queue:        m.queue,
+		run:          run,
+		cores:        coreStates,
+		now:          s.now,
+		ctx:          s.ctx,
+		flat:         flat,
+		regionCycles: regionCycles,
+		next:         s.next,
+		prevMode:     s.prevMode,
+	}
+	m.attach()
+	m.handedOut = false
+	return nil
 }
 
 func (rs *runState) chargeAll(k stats.Kind, n int64) {

@@ -176,6 +176,14 @@ func (c *cache) reset() {
 	c.lastIdx = -1
 }
 
+// copyFrom loads src's lines, LRU clock and fetch memo into a cache of the
+// same geometry.
+func (c *cache) copyFrom(src *cache) {
+	copy(c.lines, src.lines)
+	c.tick = src.tick
+	c.lastLine, c.lastIdx = src.lastLine, src.lastIdx
+}
+
 // flushAll invalidates every line, returning how many were dirty (M or O).
 func (c *cache) flushAll() int {
 	dirty := 0

@@ -60,6 +60,16 @@ func (m *Flat) Clone() *Flat {
 	return &Flat{words: w}
 }
 
+// CopyInto copies the image into dst and returns it, or returns a fresh
+// clone when dst is nil or sized differently.
+func (m *Flat) CopyInto(dst *Flat) *Flat {
+	if dst == nil || len(dst.words) != len(m.words) {
+		return m.Clone()
+	}
+	copy(dst.words, m.words)
+	return dst
+}
+
 // Equal reports whether two images hold identical contents.
 func (m *Flat) Equal(o *Flat) bool {
 	if len(m.words) != len(o.words) {

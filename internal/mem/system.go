@@ -124,6 +124,37 @@ func (s *System) Reset(flat *Flat) {
 	s.TM.Reset()
 }
 
+// CopyFrom loads src's complete timing state over the backing store flat:
+// every cache's tags, states, LRU clock and fetch memo, the bus and bank
+// clocks, the stats and the TM conflict count. The TM must be idle in src
+// (no transaction active); s's transactions are reset to idle too. Both
+// systems must share one Config. When reuseStats is false the per-core
+// stat slices are reallocated instead of overwritten, for the same reason
+// Reset reallocates them.
+func (s *System) CopyFrom(src *System, flat *Flat, reuseStats bool) {
+	s.Flat = flat
+	for i, c := range s.l1d {
+		c.copyFrom(src.l1d[i])
+	}
+	for i, c := range s.l1i {
+		c.copyFrom(src.l1i[i])
+	}
+	s.l2.copyFrom(src.l2)
+	s.busFreeAt = src.busFreeAt
+	copy(s.bankFreeAt, src.bankFreeAt)
+	st := s.St
+	s.St = src.St
+	if !reuseStats {
+		st = Stats{}
+	}
+	s.St.L1DHits = append(st.L1DHits[:0], src.St.L1DHits...)
+	s.St.L1DMisses = append(st.L1DMisses[:0], src.St.L1DMisses...)
+	s.St.L1IHits = append(st.L1IHits[:0], src.St.L1IHits...)
+	s.St.L1IMisses = append(st.L1IMisses[:0], src.St.L1IMisses...)
+	s.TM.Reset()
+	s.TM.conflicts = src.TM.conflicts
+}
+
 // acquireBus serializes bus transactions: the transaction starts no earlier
 // than now and the bus being free, and holds the bus for dur cycles. It
 // returns the completion time.

@@ -245,6 +245,16 @@ func (tm *TM) AbortAll(flat *Flat) {
 	}
 }
 
+// AnyActive reports whether any core has a live transaction.
+func (tm *TM) AnyActive() bool {
+	for i := range tm.tx {
+		if tm.tx[i].active {
+			return true
+		}
+	}
+	return false
+}
+
 // AnyAborted reports whether any active transaction is marked aborted.
 func (tm *TM) AnyAborted() bool {
 	for i := range tm.tx {

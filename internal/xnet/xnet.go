@@ -176,6 +176,13 @@ func (d *DirectNet) Reset() {
 	d.Transfers = 0
 }
 
+// CopyFrom loads src's exact state (wire values and generations, cycle,
+// transfer count) into a network of the same topology.
+func (d *DirectNet) CopyFrom(src *DirectNet) {
+	copy(d.wires, src.wires)
+	d.gen, d.cycle, d.Transfers = src.gen, src.cycle, src.Transfers
+}
+
 // BeginCycle clears the wires for a new lock-step cycle.
 func (d *DirectNet) BeginCycle(cycle int64) {
 	d.cycle = cycle
@@ -245,6 +252,11 @@ func (f *fifo) empty() bool    { return f.head == len(f.buf) }
 func (f *fifo) peek() *message { return &f.buf[f.head] }
 func (f *fifo) push(m message) { f.buf = append(f.buf, m) }
 func (f *fifo) reset()         { f.buf = f.buf[:0]; f.head = 0 }
+
+// copyFrom loads src's queued messages (oldest first) into f.
+func (f *fifo) copyFrom(src *fifo) {
+	f.buf, f.head = append(f.buf[:0], src.buf[src.head:]...), 0
+}
 func (f *fifo) pop() (m message) {
 	m = f.buf[f.head]
 	f.head++
@@ -330,6 +342,23 @@ func (q *QueueNet) Reset() {
 	q.pending = 0
 	q.seq = 0
 	q.Messages, q.RecvWaits = 0, 0
+}
+
+// CopyFrom loads src's exact state — latencies, capacity, every queued
+// message in order, the occupancy counts, the sequence counter and the
+// statistics — into a network of the same topology, reusing q's queue
+// backing arrays.
+func (q *QueueNet) CopyFrom(src *QueueNet) {
+	q.BaseLat, q.HopLat, q.Cap = src.BaseLat, src.HopLat, src.Cap
+	for i := range q.pairs {
+		q.pairs[i].copyFrom(&src.pairs[i])
+	}
+	for i := range q.spawns {
+		q.spawns[i].copyFrom(&src.spawns[i])
+	}
+	copy(q.counts, src.counts)
+	q.pending, q.seq = src.pending, src.seq
+	q.Messages, q.RecvWaits = src.Messages, src.RecvWaits
 }
 
 // CanSend reports whether the (from, to) pair has room for another message.
